@@ -1,8 +1,8 @@
 """Structural graph properties used by verification and the exact solver.
 
-Includes cut-vertex detection (articulation points give a cheap lower
-bound on the achievable spanning-tree degree) and small-n Hamiltonian-path
-testing (Δ* = 2 iff a Hamiltonian path exists).
+Includes cut-vertex detection (the pieces each vertex's removal leaves
+give a cheap lower bound on the achievable spanning-tree degree) and
+small-n Hamiltonian-path testing (Δ* = 2 iff a Hamiltonian path exists).
 """
 
 from __future__ import annotations
@@ -16,53 +16,58 @@ __all__ = [
     "has_hamiltonian_path",
     "min_degree_lower_bound",
     "bridges",
+    "split_counts",
 ]
 
 
-def articulation_points(graph: Graph) -> set[int]:
-    """Articulation points (cut vertices) via iterative Tarjan lowlink."""
+def split_counts(graph: Graph) -> tuple[int, dict[int, int]]:
+    """``(c(G), {v: c(G − v)})``: the number of connected components of
+    G, and of G with each vertex removed, in one iterative Hopcroft–Tarjan
+    lowlink pass, O(n + m).
+
+    In v's DFS tree, every child c with ``low[c] >= disc[v]`` hangs off v
+    alone, a non-root v also keeps the part above it, and the other
+    components of G are untouched.
+    """
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
-    parent: dict[int, int | None] = {}
-    points: set[int] = set()
-    timer = 0
-    for start in graph.nodes():
-        if start in disc:
+    split: dict[int, int] = {}
+    components = 0
+    for root in graph.nodes():
+        if root in disc:
             continue
-        parent[start] = None
-        stack: list[tuple[int, iter]] = [(start, iter(sorted(graph.neighbors(start))))]  # type: ignore[type-arg]
-        disc[start] = low[start] = timer
-        timer += 1
-        root_children = 0
+        components += 1
+        disc[root] = low[root] = len(disc)
+        split[root] = 0
+        stack = [(root, None, iter(graph.neighbors(root)))]
         while stack:
-            u, it = stack[-1]
-            advanced = False
+            u, parent, it = stack[-1]
             for v in it:
                 if v not in disc:
-                    parent[v] = u
-                    disc[v] = low[v] = timer
-                    timer += 1
-                    if u == start:
-                        root_children += 1
-                    stack.append((v, iter(sorted(graph.neighbors(v)))))
-                    advanced = True
+                    disc[v] = low[v] = len(disc)
+                    split[v] = 1
+                    stack.append((v, u, iter(graph.neighbors(v))))
                     break
-                elif v != parent[u]:
-                    low[u] = min(low[u], disc[v])
-            if not advanced:
+                if v != parent and disc[v] < low[u]:
+                    low[u] = disc[v]
+            else:
                 stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[u])
-                    if parent[u] == p and p != start and low[u] >= disc[p]:
-                        points.add(p)
-        if root_children >= 2:
-            points.add(start)
-    return points
+                if parent is not None:
+                    if low[u] < low[parent]:
+                        low[parent] = low[u]
+                    if low[u] >= disc[parent]:
+                        split[parent] += 1
+    return components, {v: c + components - 1 for v, c in split.items()}
+
+
+def articulation_points(graph: Graph) -> set[int]:
+    """Articulation points (cut vertices): removing one adds a component."""
+    components, splits = split_counts(graph)
+    return {v for v, c in splits.items() if c > components}
 
 
 def bridges(graph: Graph) -> set[tuple[int, int]]:
-    """Bridge edges (canonical form) via the same lowlink computation."""
+    """Bridge edges (canonical form) via an edge-based lowlink walk."""
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
     parent: dict[int, int | None] = {}
@@ -145,27 +150,17 @@ def has_hamiltonian_path(graph: Graph, node_limit: int = 20) -> bool:
 
 
 def min_degree_lower_bound(graph: Graph) -> int:
-    """A cheap lower bound on Δ* (the optimal spanning-tree degree).
+    """A cheap lower bound on Δ*, the minimum over spanning trees of the
+    maximum degree, in O(n + m):
 
-    * every spanning tree of a connected graph with n >= 3 has a node of
-      degree >= 2, and Δ* >= ⌈(n−1)/ (n−1)⌉ = 1 trivially;
-    * forced-degree bound: a node v whose removal splits the graph into c
-      components must have tree degree >= c, so Δ* >= max_v c(v). We
-      compute c(v) for articulation points only (others give c = 1).
+    * any tree on n >= 3 nodes has a vertex of degree >= 2;
+    * if removing vertex v splits G into c components, every spanning
+      tree must route all c of them through v, so deg_T(v) >= c (the
+      singleton case of the Fürer–Raghavachari witness sets).
     """
     if graph.n == 0:
         raise GraphError("empty graph")
-    if not is_connected(graph):
+    components, splits = split_counts(graph)
+    if components > 1:
         raise NotConnectedError("lower bound defined for connected graphs")
-    if graph.n == 1:
-        return 0
-    if graph.n == 2:
-        return 1
-    bound = 2 if graph.n >= 3 else 1
-    from .traversal import connected_components
-
-    for v in articulation_points(graph):
-        rest = graph.subgraph([u for u in graph.nodes() if u != v])
-        c = len(connected_components(rest))
-        bound = max(bound, c)
-    return bound
+    return max(2 if graph.n >= 3 else 0, *splits.values())

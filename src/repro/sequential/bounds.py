@@ -8,9 +8,14 @@
   Δ* (unless P = NP), so +1 is the right quality target.
 * Paper's own budgets (§4.2): per-round and total message/time bounds,
   exposed as functions so benchmarks print claim-vs-measured side by side.
+* :func:`degree_lower_bound`: the cut-vertex lower bound on Δ*
+  (:func:`repro.graphs.properties.min_degree_lower_bound`), which campaign
+  reports print next to k*.
 """
 
 from __future__ import annotations
+
+from ..graphs.properties import min_degree_lower_bound as degree_lower_bound
 
 __all__ = [
     "kmz_lower_bound",
@@ -35,36 +40,6 @@ def fr_quality_guarantee(optimal_degree: int) -> int:
     if optimal_degree < 0:
         raise ValueError("degree must be non-negative")
     return optimal_degree + 1
-
-
-def degree_lower_bound(graph) -> int:
-    """Cheap combinatorial lower bound on Δ*(G), the minimum over
-    spanning trees of the maximum degree.
-
-    Two certificates, both O(n·m) — far cheaper than the exact solver,
-    so campaign reports can print a ``k* vs lower bound`` column at any
-    size:
-
-    * any tree on n ≥ 3 nodes has a vertex of degree ≥ 2;
-    * if removing vertex *v* splits G into c components, every spanning
-      tree must route all c components through *v*, so deg_T(v) ≥ c
-      (the singleton case of the Fürer–Raghavachari witness sets).
-    """
-    from ..graphs.traversal import connected_components
-
-    n = graph.n
-    if n <= 1:
-        return 0
-    if n == 2:
-        return 1
-    lb = 2
-    nodes = graph.nodes()
-    for v in nodes:
-        if graph.degree(v) <= lb:
-            continue  # deg_T(v) <= deg_G(v): cannot beat the current bound
-        rest = graph.subgraph(u for u in nodes if u != v)
-        lb = max(lb, len(connected_components(rest)))
-    return lb
 
 
 def paper_round_message_budget(n: int, m: int) -> int:
